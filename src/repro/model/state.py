@@ -8,7 +8,7 @@ activations identically.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -159,6 +159,41 @@ class StalenessView:
 
     def __len__(self) -> int:
         return len(self._fresh)
+
+    def fold(
+        self,
+        program: VertexProgram,
+        v: int,
+        edges: Iterable[Tuple[int, float]],
+        identity: float,
+    ) -> float:
+        """Gather ``v``'s ``edges`` through this view and fold them.
+
+        Equal to ``program.full_gather(graph, v, self)`` when ``edges``
+        are ``v``'s gather edges: the same ``gather``/``accumulate`` calls
+        in the same order on the same values, with :meth:`__getitem__`'s
+        read rule inlined as array tests (engines call this once per
+        vertex update instead of once per edge).
+        """
+        gather, accumulate = program.gather, program.accumulate
+        fresh, snapshot, local = self._fresh, self._snapshot, self._local
+        acc = identity
+        if self._written_gpu is None:
+            for src, weight in edges:
+                value = fresh[src] if local[src] else snapshot[src]
+                acc = accumulate(acc, gather(float(value), weight, src, v))
+            return acc
+        written_gpu, written_stamp = self._written_gpu, self._written_stamp
+        wave, gpu = self._wave_stamp, self._gpu_id
+        for src, weight in edges:
+            if local[src] or (
+                written_stamp[src] == wave and written_gpu[src] == gpu
+            ):
+                value = fresh[src]
+            else:
+                value = snapshot[src]
+            acc = accumulate(acc, gather(float(value), weight, src, v))
+        return acc
 
     def as_array(self) -> np.ndarray:
         """Materialize the view into one plain array.

@@ -58,9 +58,10 @@ class TestFrontierSelection:
         }
         # With advance off (default), every runnable group has inactive
         # predecessors only.
+        blockers = run.dispatcher.topology.blocker_counts(run.group_active)
         for pid in runnable:
             gid = run.dispatcher.group_of_partition(pid)
-            assert run._active_predecessor_groups(gid) == 0
+            assert blockers[gid] == 0
 
     def test_advance_admits_blocked_groups(self, test_machine):
         graph = scc_profile_graph(150, 4.0, 0.5, 4.0, seed=41)
