@@ -311,7 +311,7 @@ class TestRedistributionPolicies:
             return x
 
         dead_set = set(on_dead)
-        for a, b in dispatcher._partition_deps:
+        for a, b in dispatcher.topology.partition_deps.tolist():
             if a in dead_set and b in dead_set:
                 ra, rb = find(a), find(b)
                 if ra != rb:
