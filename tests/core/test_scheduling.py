@@ -1,7 +1,11 @@
 """Unit tests for Pri(p) scheduling and thread balancing."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dependency import build_dependency_dag
 from repro.core.partitioning import decompose_into_paths
@@ -106,3 +110,68 @@ class TestThreadBalancing:
         buckets = balance_paths_to_threads(list(range(13)), edges, 4)
         flat = sorted(p for b in buckets for p in b)
         assert flat == list(range(13))
+
+
+# ----------------------------------------------------------------------
+# properties: the vectorized helpers against their reference forms
+# ----------------------------------------------------------------------
+def reference_lpt(path_ids, path_edges, num_threads):
+    """LPT as a linear scan: ``loads.index(min(loads))`` per path."""
+    buckets = [[] for _ in range(num_threads)]
+    loads = [0] * num_threads
+    ordered = sorted(
+        range(len(path_ids)), key=lambda i: -path_edges[path_ids[i]]
+    )
+    for i in ordered:
+        path_id = path_ids[i]
+        lightest = loads.index(min(loads))
+        buckets[lightest].append(path_id)
+        loads[lightest] += path_edges[path_id]
+    return [bucket for bucket in buckets if bucket]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # Few distinct weights (zeros and negatives included) force ties in
+    # both the length order and the lightest-thread choice.
+    weights=st.lists(st.integers(-2, 3), max_size=60),
+    num_threads=st.integers(1, 9),
+)
+def test_heap_lpt_matches_linear_scan(weights, num_threads):
+    path_ids = list(range(len(weights)))[::-1]
+    path_edges = dict(zip(path_ids, weights))
+    assert balance_paths_to_threads(
+        path_ids, path_edges, num_threads
+    ) == reference_lpt(path_ids, path_edges, num_threads)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_scheduler():
+    g = scc_profile_graph(150, 4.0, 0.5, 4.0, seed=1)
+    ps = decompose_into_paths(g)
+    return ps, PathScheduler(ps, build_dependency_dag(ps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 10 ** 6), max_size=40),
+    counts=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+)
+def test_order_paths_matches_sorted_priorities(picks, counts):
+    ps, sched = _shared_scheduler()
+    # Cycling a few small N(p) values makes many priorities equal.
+    sched.active_count[:] = np.resize(counts, ps.num_paths)
+    ids = [p % ps.num_paths for p in picks]
+    expected = sorted(ids, key=lambda p: (-sched.priority(p), p))
+    assert sched.order_paths(ids) == expected
+
+
+@pytest.mark.parametrize("bad", [-1, -7, "past-end"])
+def test_order_paths_rejects_ids_outside_the_path_set(scheduler, bad):
+    _, ps, _, sched = scheduler
+    path_id = ps.num_paths if bad == "past-end" else bad
+    # numpy fancy indexing would silently wrap a negative id.
+    with pytest.raises(SchedulingError):
+        sched.order_paths([0, path_id])
+    with pytest.raises(SchedulingError):
+        sched.priority(path_id)
