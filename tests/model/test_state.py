@@ -102,3 +102,36 @@ class TestStalenessView:
             np.zeros(5), np.zeros(5), np.zeros(5, dtype=bool)
         )
         assert len(view) == 5
+
+
+class TestFold:
+    """``fold`` is ``full_gather`` through the view, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "algorithm", ["pagerank", "sssp", "kcore", "wcc"]
+    )
+    @pytest.mark.parametrize("tracked", [False, True])
+    def test_fold_matches_full_gather(self, algorithm, tracked):
+        from repro.algorithms import make_program
+        from repro.graph.generators import scc_profile_graph
+
+        graph = scc_profile_graph(60, 4.0, 0.5, 4.0, seed=5)
+        program = make_program(algorithm, graph)
+        n = graph.num_vertices
+        rng = np.random.default_rng(3)
+        fresh = rng.random(n)
+        snapshot = rng.random(n)
+        written = dict(
+            written_gpu=rng.integers(0, 2, n),
+            written_stamp=rng.integers(0, 2, n),
+            wave_stamp=1,
+            gpu_id=0,
+        )
+        view = StalenessView(
+            fresh, snapshot, rng.random(n) < 0.5, **(written if tracked else {})
+        )
+        for v in range(n):
+            edges = list(program.gather_edges(graph, v))
+            assert view.fold(
+                program, v, edges, program.identity
+            ) == program.full_gather(graph, v, view)
